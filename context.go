@@ -666,7 +666,7 @@ func (d *Dataset) GroupByKey() ([]Group, error) {
 		if err != nil {
 			return 0, err
 		}
-		groups = groupPairs(red.After)
+		groups = ops.GroupLocal(red.After)
 		return len(groups), nil
 	}, func(label string) []core.CheckState {
 		return []core.CheckState{core.NewRedistStatePar(label, c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank(), red.Before, red.After)}
@@ -699,7 +699,7 @@ func (d *Dataset) Join(other *Dataset) ([]JoinRow, error) {
 		if err != nil {
 			return 0, err
 		}
-		rows = joinLocal(redL.After, redR.After)
+		rows = ops.JoinLocal(redL.After, redR.After)
 		return len(rows), nil
 	}, func(label string) []core.CheckState {
 		return []core.CheckState{
@@ -918,37 +918,4 @@ func (c *Context) AssertSorted(input, output []uint64) error {
 	}, func(label string) []core.CheckState {
 		return []core.CheckState{core.NewSortedStatePar(label, c.opts.Perm, c.seed, c.par, [][]uint64{input}, output)}
 	})
-}
-
-// groupPairs builds sorted groups from redistributed pairs.
-func groupPairs(after []Pair) []Group {
-	m := make(map[uint64][]uint64)
-	for _, p := range after {
-		m[p.Key] = append(m[p.Key], p.Value)
-	}
-	groups := make([]Group, 0, len(m))
-	for k, vs := range m {
-		data.SortU64(vs)
-		groups = append(groups, Group{Key: k, Values: vs})
-	}
-	sortGroupsByKey(groups)
-	return groups
-}
-
-// joinLocal computes the local inner join of two redistributed
-// relations, rows sorted by (key, left, right) for deterministic
-// output.
-func joinLocal(left, right []Pair) []JoinRow {
-	build := make(map[uint64][]uint64, len(left))
-	for _, p := range left {
-		build[p.Key] = append(build[p.Key], p.Value)
-	}
-	var rows []JoinRow
-	for _, p := range right {
-		for _, lv := range build[p.Key] {
-			rows = append(rows, JoinRow{Key: p.Key, Left: lv, Right: p.Value})
-		}
-	}
-	sortJoinRows(rows)
-	return rows
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/dist"
@@ -115,12 +116,7 @@ func flattenMedianAssertion(medians2 []data.Pair, ties map[uint64]TieCert) []uin
 		flat = append(flat, pr.Key, pr.Value)
 	}
 	if len(ties) > 0 {
-		keys := make([]uint64, 0, len(ties))
-		for k := range ties {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
+		for _, k := range slices.Sorted(maps.Keys(ties)) {
 			tc := ties[k]
 			flat = append(flat, k, tc.EqLow, tc.EqHigh, tc.AtSlot)
 		}

@@ -1,7 +1,8 @@
 package ops
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/dist"
@@ -172,6 +173,6 @@ func AverageByKey(w *dist.Worker, pt Partitioner, local []data.Pair) ([]data.Tri
 	for k, c := range final {
 		out = append(out, data.Triple{Key: k, Value: c.sum, Count: c.count})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b data.Triple) int { return cmp.Compare(a.Key, b.Key) })
 	return out, nil
 }

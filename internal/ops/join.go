@@ -1,8 +1,6 @@
 package ops
 
 import (
-	"sort"
-
 	"repro/internal/data"
 	"repro/internal/dist"
 )
@@ -15,10 +13,10 @@ type JoinRow struct {
 	Right uint64
 }
 
-// Join computes the inner hash join of two distributed (key, value)
+// Join computes the inner join of two distributed (key, value)
 // relations (Section 6.5.4): both sides are hash partitioned by key with
-// the same partitioner, then joined locally. Each PE returns its share
-// of the result sorted by (key, left, right).
+// the same partitioner, then joined locally by JoinLocal. Each PE
+// returns its share of the result sorted by (key, left, right).
 func Join(w *dist.Worker, pt Partitioner, left, right []data.Pair) ([]JoinRow, error) {
 	gotL, err := exchangePairsByKey(w, pt, left)
 	if err != nil {
@@ -28,26 +26,66 @@ func Join(w *dist.Worker, pt Partitioner, left, right []data.Pair) ([]JoinRow, e
 	if err != nil {
 		return nil, err
 	}
-	build := make(map[uint64][]uint64, len(gotL))
-	for _, p := range gotL {
-		build[p.Key] = append(build[p.Key], p.Value)
+	return JoinLocal(gotL, gotR), nil
+}
+
+// JoinLocal computes the inner join of two local relations without
+// modifying them, as a sort-merge join: both sides are sorted by
+// (key, value) and walked together. Rows come out sorted by
+// (key, left, right); the result is nil if no key matches.
+func JoinLocal(left, right []data.Pair) []JoinRow {
+	l, r := data.ClonePairs(left), data.ClonePairs(right)
+	data.SortPairsByKey(l)
+	data.SortPairsByKey(r)
+	n := 0
+	matchRuns(l, r, func(lr, rr []data.Pair) { n += len(lr) * len(rr) })
+	if n == 0 {
+		return nil
 	}
-	var out []JoinRow
-	for _, p := range gotR {
-		for _, lv := range build[p.Key] {
-			out = append(out, JoinRow{Key: p.Key, Left: lv, Right: p.Value})
+	rows := make([]JoinRow, 0, n)
+	matchRuns(l, r, func(lr, rr []data.Pair) {
+		key := lr[0].Key
+		// Each distinct left value, with multiplicity m, pairs with
+		// every right value m times before the next left value starts:
+		// that is (key, left, right) order.
+		for i := 0; i < len(lr); {
+			j := i + 1
+			for j < len(lr) && lr[j].Value == lr[i].Value {
+				j++
+			}
+			for _, rp := range rr {
+				for range j - i {
+					rows = append(rows, JoinRow{Key: key, Left: lr[i].Value, Right: rp.Value})
+				}
+			}
+			i = j
 		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key != out[j].Key {
-			return out[i].Key < out[j].Key
-		}
-		if out[i].Left != out[j].Left {
-			return out[i].Left < out[j].Left
-		}
-		return out[i].Right < out[j].Right
 	})
-	return out, nil
+	return rows
+}
+
+// matchRuns walks two relations sorted by key and calls f with the run
+// of each side for every key present in both, in key order.
+func matchRuns(l, r []data.Pair, f func(lr, rr []data.Pair)) {
+	i, j := 0, 0
+	for i < len(l) && j < len(r) {
+		switch lk, rk := l[i].Key, r[j].Key; {
+		case lk < rk:
+			i++
+		case lk > rk:
+			j++
+		default:
+			i2, j2 := i+1, j+1
+			for i2 < len(l) && l[i2].Key == lk {
+				i2++
+			}
+			for j2 < len(r) && r[j2].Key == lk {
+				j2++
+			}
+			f(l[i:i2], r[j:j2])
+			i, j = i2, j2
+		}
+	}
 }
 
 // RedistInputs captures the redistribution phase of a key-partitioned

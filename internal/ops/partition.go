@@ -31,18 +31,13 @@ func (pt Partitioner) KeyOrder(key uint64) (pe int, h uint64) {
 	return pt.PE(key), key
 }
 
-// encodePairs flattens pairs for transport: key, value per pair.
-func encodePairs(ps []data.Pair) []uint64 {
-	out := make([]uint64, 0, 2*len(ps))
-	for _, p := range ps {
-		out = append(out, p.Key, p.Value)
-	}
-	return out
-}
-
 // decodePairs parses a flat pair payload.
 func decodePairs(ws []uint64) []data.Pair {
-	out := make([]data.Pair, 0, len(ws)/2)
+	return appendPairs(make([]data.Pair, 0, len(ws)/2), ws)
+}
+
+// appendPairs appends the pairs of a flat key, value payload to out.
+func appendPairs(out []data.Pair, ws []uint64) []data.Pair {
 	for i := 0; i+1 < len(ws); i += 2 {
 		out = append(out, data.Pair{Key: ws[i], Value: ws[i+1]})
 	}
@@ -51,25 +46,36 @@ func decodePairs(ws []uint64) []data.Pair {
 
 // exchangePairsByKey routes each pair to its partition PE with one
 // all-to-all and returns the pairs received, concatenated in source
-// order.
+// order. Each destination's payload is sized exactly from a counting
+// pass, then filled in source order, so the redistribution checkers
+// see After exactly as sent.
 func exchangePairsByKey(w *dist.Worker, pt Partitioner, ps []data.Pair) ([]data.Pair, error) {
-	p := w.Size()
-	parts := make([][]data.Pair, p)
-	for _, pr := range ps {
-		dst := pt.PE(pr.Key)
-		parts[dst] = append(parts[dst], pr)
+	dsts := make([]int32, len(ps))
+	counts := make([]int, w.Size())
+	for i, pr := range ps {
+		d := pt.PE(pr.Key)
+		dsts[i] = int32(d)
+		counts[d]++
 	}
-	enc := make([][]uint64, p)
-	for i, part := range parts {
-		enc[i] = encodePairs(part)
+	enc := make([][]uint64, len(counts))
+	for d, c := range counts {
+		enc[d] = make([]uint64, 0, 2*c)
+	}
+	for i, pr := range ps {
+		d := dsts[i]
+		enc[d] = append(enc[d], pr.Key, pr.Value)
 	}
 	got, err := w.Coll.AllToAll(enc)
 	if err != nil {
 		return nil, err
 	}
-	var out []data.Pair
+	total := 0
 	for _, ws := range got {
-		out = append(out, decodePairs(ws)...)
+		total += len(ws) / 2
+	}
+	out := make([]data.Pair, 0, total)
+	for _, ws := range got {
+		out = appendPairs(out, ws)
 	}
 	return out, nil
 }

@@ -1,8 +1,6 @@
 package ops
 
 import (
-	"sort"
-
 	"repro/internal/data"
 	"repro/internal/dist"
 )
@@ -18,33 +16,31 @@ func SumFn(a, b uint64) uint64 { return a + b }
 func XorFn(a, b uint64) uint64 { return a ^ b }
 
 // ReduceByKey aggregates all (key, value) pairs with the same key using
-// fn, as in Section 2 "Reduction": local hash-table combine, hash
-// partition all-to-all, final local combine. The result is hash
-// partitioned over the PEs; each PE returns its share sorted by key.
+// fn, as in Section 2 "Reduction": local combine, hash partition
+// all-to-all, final local combine. The result is hash partitioned over
+// the PEs; each PE returns its share sorted by key.
 func ReduceByKey(w *dist.Worker, pt Partitioner, local []data.Pair, fn ReduceFn) ([]data.Pair, error) {
-	combined := combineLocal(local, fn)
+	combined := combineLocal(data.ClonePairs(local), fn)
 	received, err := exchangePairsByKey(w, pt, combined)
 	if err != nil {
 		return nil, err
 	}
-	out := combineLocal(received, fn)
-	data.SortPairsByKey(out)
-	return out, nil
+	return combineLocal(received, fn), nil
 }
 
-// combineLocal folds pairs with equal keys using fn.
+// combineLocal sorts ps by key in place and folds each run of equal
+// keys with fn. It returns one pair per key, sorted by key, in a prefix
+// of ps. Because fn is associative and commutative, the order within a
+// run does not change the result.
 func combineLocal(ps []data.Pair, fn ReduceFn) []data.Pair {
-	m := make(map[uint64]uint64, len(ps))
-	for _, p := range ps {
-		if v, ok := m[p.Key]; ok {
-			m[p.Key] = fn(v, p.Value)
-		} else {
-			m[p.Key] = p.Value
+	data.SortPairsByKeyOnly(ps)
+	out := ps[:0]
+	for i := 0; i < len(ps); {
+		acc := ps[i]
+		for i++; i < len(ps) && ps[i].Key == acc.Key; i++ {
+			acc.Value = fn(acc.Value, ps[i].Value)
 		}
-	}
-	out := make([]data.Pair, 0, len(m))
-	for k, v := range m {
-		out = append(out, data.Pair{Key: k, Value: v})
+		out = append(out, acc)
 	}
 	return out
 }
@@ -64,15 +60,25 @@ func GroupByKey(w *dist.Worker, pt Partitioner, local []data.Pair) ([]Group, err
 	if err != nil {
 		return nil, err
 	}
-	m := make(map[uint64][]uint64)
-	for _, p := range received {
-		m[p.Key] = append(m[p.Key], p.Value)
+	return GroupLocal(received), nil
+}
+
+// GroupLocal groups the local pairs ps by key without modifying ps:
+// groups come out sorted by key with their values ascending. The values
+// of all groups are slices of one sorted backing array, each capped at
+// its own length.
+func GroupLocal(ps []data.Pair) []Group {
+	sorted := data.ClonePairs(ps)
+	data.SortPairsByKey(sorted)
+	vals := make([]uint64, len(sorted))
+	groups := []Group{}
+	for i := 0; i < len(sorted); {
+		j := i
+		for ; j < len(sorted) && sorted[j].Key == sorted[i].Key; j++ {
+			vals[j] = sorted[j].Value
+		}
+		groups = append(groups, Group{Key: sorted[i].Key, Values: vals[i:j:j]})
+		i = j
 	}
-	out := make([]Group, 0, len(m))
-	for k, vs := range m {
-		data.SortU64(vs)
-		out = append(out, Group{Key: k, Values: vs})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
+	return groups
 }

@@ -1,7 +1,7 @@
 package ops
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/dist"
@@ -69,9 +69,8 @@ func partitionByRange(sorted []uint64, splitters []uint64, p int) [][]uint64 {
 	parts := make([][]uint64, p)
 	start := 0
 	for j := 0; j < p-1; j++ {
-		end := start + sort.Search(len(sorted)-start, func(i int) bool {
-			return sorted[start+i] >= splitters[j]
-		})
+		off, _ := slices.BinarySearch(sorted[start:], splitters[j])
+		end := start + off
 		parts[j] = sorted[start:end]
 		start = end
 	}

@@ -53,7 +53,6 @@ package repro
 
 import (
 	"errors"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -341,23 +340,4 @@ func GroupByKeyChecked(w *Worker, opts Options, local []Pair) ([]Group, error) {
 		return nil, err
 	}
 	return ctx.Pairs(local).GroupByKey()
-}
-
-// sortGroupsByKey orders groups ascending by key.
-func sortGroupsByKey(groups []Group) {
-	sort.Slice(groups, func(i, j int) bool { return groups[i].Key < groups[j].Key })
-}
-
-// sortJoinRows orders join rows by (key, left, right), making join
-// output independent of map iteration order.
-func sortJoinRows(rows []JoinRow) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Key != rows[j].Key {
-			return rows[i].Key < rows[j].Key
-		}
-		if rows[i].Left != rows[j].Left {
-			return rows[i].Left < rows[j].Left
-		}
-		return rows[i].Right < rows[j].Right
-	})
 }
